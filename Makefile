@@ -9,7 +9,7 @@ BENCH_JSON ?= BENCH_10.json
 # with BENCH_THRESHOLD=1.2 when chasing a specific benchmark.
 BENCH_THRESHOLD ?= 1.5
 
-.PHONY: all build test bench bench-smoke bench-json bench-compare cover race race-full vet examples serve-smoke ci
+.PHONY: all build test bench bench-smoke bench-json bench-compare cover race race-full vet examples serve-smoke fuzz-smoke ci
 
 # Every example binary, smoke-run at reduced problem size.
 EXAMPLES := quickstart jacobi3d adcirc amr migration cloudrestart
@@ -61,9 +61,10 @@ cover:
 # parallelism; race-check the packages that exercise them (the ft and
 # elastic supervisors run inside the parallel sweep fan-outs, and
 # machine/lb carry the membership-epoch and rebalance state those
-# supervisors mutate between attempts).
+# supervisors mutate between attempts). mem, core and elf share
+# copy-on-write payload pages across heaps, snapshots and sweep workers.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/...
+	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/elf/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:
@@ -86,5 +87,10 @@ examples:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
+# A short run of each native fuzz target beyond its committed seed
+# corpus (testdata/fuzz), which plain `go test` already replays.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapPages$$' -fuzztime=10s ./internal/mem
+
 # Everything CI runs, in the same order (see .github/workflows/ci.yml).
-ci: vet build test examples bench-smoke serve-smoke race
+ci: vet build test examples bench-smoke serve-smoke race fuzz-smoke

@@ -114,9 +114,9 @@ func TestCheckpointWritesOnlyDirtyBytes(t *testing.T) {
 }
 
 // TestCheckpointImmutableAfterMigration guards the sharpest aliasing
-// hazard in the incremental path: a checkpoint taken after a migration
-// (whose restore adopted snapshot arrays zero-copy) must stay intact
-// while the rank keeps writing and even migrates again. Restarting from
+// hazard in the copy-on-write path: a checkpoint taken after a
+// migration (whose restored heap shares the migration snapshot's pages)
+// must stay intact while the rank keeps writing and even migrates again. Restarting from
 // it must see the checkpoint-time values, not the later ones.
 func TestCheckpointImmutableAfterMigration(t *testing.T) {
 	var blkAddr uint64
@@ -129,7 +129,7 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 			if v := state.Load(); v != 0 {
 				// Restart path: record what the checkpoint preserved.
 				restoredState = v
-				restoredWord = ctx.Heap.Lookup(blkAddr).Words[0]
+				restoredWord = ctx.Heap.Lookup(blkAddr).At(0)
 				return
 			}
 			blk, err := ctx.Heap.Alloc(4096, "data")
@@ -137,17 +137,15 @@ func TestCheckpointImmutableAfterMigration(t *testing.T) {
 				panic(err)
 			}
 			blkAddr = blk.Addr
-			blk.Words[0] = 77
-			blk.Touch()
-			r.Migrate() // restore adopts the payload arrays zero-copy
+			blk.Set(0, 77)
+			r.Migrate() // the restored heap shares the snapshot's pages
 			state.Store(5)
 			r.Checkpoint("/ckpt")
 			// Keep mutating after the checkpoint, then migrate again: none
 			// of this may leak into the kept snapshot.
 			state.Store(9)
 			nb := ctx.Heap.Lookup(blkAddr)
-			nb.Words[0] = 88
-			nb.Touch()
+			nb.Set(0, 88)
 			r.Migrate()
 		},
 	}

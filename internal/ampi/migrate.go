@@ -134,9 +134,9 @@ func (w *World) migrateRank(r *Rank, from, to int, start sim.Time) error {
 	src.Remove(r.thread)
 	r.pe = dstPE // messages sent mid-flight route to the destination
 	w.Cluster.Engine.At(arrive, func() {
-		// The payload is this move's private copy and the source heap is
-		// gone; consume it zero-copy.
-		if err := r.ctx.RestoreIntoConsume(payload, w.sharedInstanceOf(dstPE.Proc)); err != nil {
+		// The restored heap shares the payload's frozen pages: nothing is
+		// copied until the rank writes.
+		if err := r.ctx.RestoreInto(payload, w.sharedInstanceOf(dstPE.Proc)); err != nil {
 			w.fail(fmt.Errorf("ampi: restoring rank %d on PE %d: %w", r.vp, to, err))
 			return
 		}

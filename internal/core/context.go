@@ -67,7 +67,8 @@ type RankContext struct {
 	cells []cellRef
 	// rcells memoizes the resolved cell pointer (and the heap block a
 	// store must dirty) per variable; an entry is valid while its epoch
-	// matches the context's. See resolve.
+	// matches the context's and its page has not been frozen since. See
+	// resolve.
 	rcells []resolvedCell
 	// epoch versions every resolved cell pointer: restore/migration and
 	// method setup bump it, invalidating all cached resolutions at once.
@@ -83,9 +84,9 @@ type RankContext struct {
 	// migration restore).
 	pieCodeAddr uint64
 	pieDataAddr uint64
-	// pieHeapObjAddrs maps original ctor heap object addresses to the
-	// rank's replicated copies (PIEglobals).
-	pieHeapObjAddrs map[uint64]uint64
+	// pieObjAddrs are the addresses of the rank's copies of the ctor
+	// heap objects, in the base instance's order (PIEglobals).
+	pieObjAddrs []uint64
 
 	// accesses counts privatized loads+stores for reporting.
 	accesses uint64
@@ -107,8 +108,15 @@ type resolvedCell struct {
 	cell  *uint64
 	cost  sim.Time
 	// blk is the heap block backing the cell, if any; stores touch it
-	// so incremental snapshots re-copy the block.
+	// so incremental snapshots count the block in their delta.
 	blk *mem.Block
+	// pg is the copy-on-write payload holding the cell, if any, and
+	// freezes its freeze count when cell was taken. A snapshot (or a
+	// PIE copy) that freezes pg makes the page shared, so the pointer
+	// must be re-taken before the next access: a store through it would
+	// reach a page the snapshot can see.
+	pg      *mem.Payload
+	freezes uint64
 }
 
 // newContext returns a context with heap + stack prepared; methods fill
@@ -142,27 +150,28 @@ func newContext(m Method, env *ProcessEnv, img *elf.Image, shared *elf.Instance,
 	return c, nil
 }
 
-// storage returns the backing slice and element index for a variable.
-func (c *RankContext) storage(v *elf.Var) (*uint64, error) {
+// storage returns a writable pointer to a variable's cell and, for
+// cells in copy-on-write pages, the payload holding it.
+func (c *RankContext) storage(v *elf.Var) (*uint64, *mem.Payload, error) {
 	ref := c.cells[v.Index]
 	switch ref.kind {
 	case storeShared:
-		return &c.Shared.Data[v.Index], nil
+		return c.Shared.Data.Ptr(v.Index), c.Shared.Data, nil
 	case storePrivSeg:
 		if c.Private == nil {
-			return nil, fmt.Errorf("core: rank %d: private segment storage with no private instance", c.VP)
+			return nil, nil, fmt.Errorf("core: rank %d: private segment storage with no private instance", c.VP)
 		}
-		return &c.Private.Data[v.Index], nil
+		return c.Private.Data.Ptr(v.Index), c.Private.Data, nil
 	case storeTLS:
-		return &c.TLS[ref.slot], nil
+		return &c.TLS[ref.slot], nil, nil
 	case storeHeapCell:
-		return &c.heapCells.Words[ref.slot], nil
+		return c.heapCells.Data.Ptr(ref.slot), c.heapCells.Data, nil
 	case storeCoreCell:
-		return &c.coreCells[ref.slot], nil
+		return &c.coreCells[ref.slot], nil, nil
 	case storeNodeCell:
-		return &c.nodeCells[ref.slot], nil
+		return &c.nodeCells[ref.slot], nil, nil
 	default:
-		return nil, fmt.Errorf("core: rank %d: unresolved storage for %s", c.VP, v.Name)
+		return nil, nil, fmt.Errorf("core: rank %d: unresolved storage for %s", c.VP, v.Name)
 	}
 }
 
@@ -173,18 +182,22 @@ func (c *RankContext) storage(v *elf.Var) (*uint64, error) {
 func (c *RankContext) invalidateResolutions() { c.epoch++ }
 
 // resolve returns the variable's current fast-path entry, refreshing it
-// if the context's storage changed since it was last resolved.
+// if the context's storage changed, or its page was frozen, since it
+// was last resolved.
 func (c *RankContext) resolve(v *elf.Var) *resolvedCell {
 	rc := &c.rcells[v.Index]
-	if rc.epoch == c.epoch {
+	if rc.epoch == c.epoch && (rc.pg == nil || rc.pg.Freezes() == rc.freezes) {
 		return rc
 	}
-	cell, err := c.storage(v)
+	cell, pg, err := c.storage(v)
 	if err != nil {
 		panic(err)
 	}
 	ref := c.cells[v.Index]
-	rc.cell, rc.cost, rc.blk, rc.epoch = cell, ref.cost, nil, c.epoch
+	rc.cell, rc.cost, rc.blk, rc.epoch, rc.pg = cell, ref.cost, nil, c.epoch, pg
+	if pg != nil {
+		rc.freezes = pg.Freezes()
+	}
 	switch ref.kind {
 	case storeHeapCell:
 		rc.blk = c.heapCells

@@ -267,12 +267,12 @@ func TestPIEglobalsCtorHeapReplication(t *testing.T) {
 	if o0 == nil {
 		t.Fatal("rank 0 object not reachable")
 	}
-	if !c0.Private.ContainsCode(o0.Words[0]) {
+	if !c0.Private.ContainsCode(o0.Data.At(0)) {
 		t.Errorf("rank 0 vtable slot %#x outside its code copy [%#x,%#x)",
-			o0.Words[0], c0.Private.CodeBase, c0.Private.CodeBase+img.CodeSize)
+			o0.Data.At(0), c0.Private.CodeBase, c0.Private.CodeBase+img.CodeSize)
 	}
 	o1 := c1.Private.HeapObjAt(p1)
-	if o1 == nil || !c1.Private.ContainsCode(o1.Words[0]) {
+	if o1 == nil || !c1.Private.ContainsCode(o1.Data.At(0)) {
 		t.Error("rank 1 replication broken")
 	}
 }
@@ -360,7 +360,7 @@ func TestMigrationRoundTripPreservesEverything(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk.Words[5] = 12345
+			blk.Set(5, 12345)
 
 			payload, err := c.Serialize()
 			if err != nil {
@@ -380,13 +380,40 @@ func TestMigrationRoundTripPreservesEverything(t *testing.T) {
 				t.Errorf("tg = %d after restore", got)
 			}
 			nb := c.Heap.Lookup(blk.Addr)
-			if nb == nil || nb.Words[5] != 12345 {
+			if nb == nil || nb.At(5) != 12345 {
 				t.Error("heap payload lost")
 			}
 			if kind == KindPIEglobals {
 				if c.Private == nil || c.Heap.Lookup(c.Private.CodeBase) == nil {
 					t.Error("code segment not rebound after restore")
 				}
+			}
+		})
+	}
+}
+
+// TestStoreAfterSerializeNeverReachesSnapshot: a handle resolved before
+// a snapshot caches a pointer into a page the snapshot now shares; the
+// next store must re-resolve and copy the page, never write through.
+func TestStoreAfterSerializeNeverReachesSnapshot(t *testing.T) {
+	for _, kind := range []Kind{KindManual, KindPIEglobals} {
+		t.Run(kind.String(), func(t *testing.T) {
+			c := setup(t, kind, testEnv(t, false), testImage(t), 1).Contexts[0]
+			ug := c.Var("ug")
+			ug.Store(1)
+			payload, err := c.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ug.Store(2)
+			if got := ug.Load(); got != 2 {
+				t.Fatalf("live value %d after the second store, want 2", got)
+			}
+			if err := c.RestoreInto(payload, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := ug.Load(); got != 1 {
+				t.Fatalf("snapshot holds %d, want its capture-time 1", got)
 			}
 		})
 	}

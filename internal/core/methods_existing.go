@@ -93,7 +93,7 @@ func (m *refactorMethod) Setup(env *ProcessEnv, img *elf.Image, vps []int, start
 				return nil, err
 			}
 			for _, v := range img.Vars {
-				blk.Words[v.Index] = v.Init
+				blk.Data.Set(v.Index, v.Init)
 			}
 			c.heapCells = blk
 			done += env.Cost.CopyTime(words * 8)
@@ -159,7 +159,7 @@ func (m *swapglobalsMethod) Setup(env *ProcessEnv, img *elf.Image, vps []int, st
 			return nil, err
 		}
 		for _, v := range img.Vars {
-			blk.Words[v.Index] = v.Init
+			blk.Data.Set(v.Index, v.Init)
 		}
 		c.heapCells = blk
 		// Per-rank GOT construction: one relocation-sized fixup per

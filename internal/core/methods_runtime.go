@@ -238,12 +238,15 @@ func (m *pieglobalsMethod) Setup(env *ProcessEnv, img *elf.Image, vps []int, sta
 		}
 	}
 
+	// The pointer scan depends only on the base instance: run it once
+	// and replay it for every rank.
+	relocs := scanRelocations(shared)
 	for _, vp := range vps {
 		c, err := newContext(m, env, img, shared, vp)
 		if err != nil {
 			return nil, err
 		}
-		dup, cost, err := duplicateInstance(env, shared, c.Heap, m.opts)
+		dup, cost, err := duplicateInstance(env, shared, relocs, c.Heap, m.opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: pieglobals: rank %d: %w", vp, err)
 		}
@@ -251,7 +254,7 @@ func (m *pieglobalsMethod) Setup(env *ProcessEnv, img *elf.Image, vps []int, sta
 		c.Private = dup.inst
 		c.pieCodeAddr = dup.codeAddr
 		c.pieDataAddr = dup.dataAddr
-		c.pieHeapObjAddrs = dup.heapObjAddrs
+		c.pieObjAddrs = dup.objAddrs
 		if useTLS {
 			c.TLS = make([]uint64, len(slots))
 			for idx, slot := range slots {

@@ -55,29 +55,14 @@ func (c *RankContext) Serialize() (*MigrationPayload, error) {
 // handles (stack, privatized-copy cells, duplicated segments) are
 // rebound, and the rank's view of *shared* variables switches to the
 // destination process's base instance — unprivatized state is
-// per-process, so a migrated rank sees the destination's copy.
+// per-process, so a migrated rank sees the destination's copy. The
+// restored heap shares the payload's pages, so the payload is only
+// read: a migration and a kept checkpoint restore the same way.
 func (c *RankContext) RestoreInto(p *MigrationPayload, destShared *elf.Instance) error {
-	return c.restoreInto(p, destShared, false)
-}
-
-// RestoreIntoConsume is RestoreInto for payloads the caller owns
-// exclusively and discards afterwards — the migration path, where the
-// source rank's heap dies with the move. Dirty-block payloads are
-// adopted zero-copy instead of being copied a second time. The payload
-// must not be restored again (a kept checkpoint must use RestoreInto).
-func (c *RankContext) RestoreIntoConsume(p *MigrationPayload, destShared *elf.Instance) error {
-	return c.restoreInto(p, destShared, true)
-}
-
-func (c *RankContext) restoreInto(p *MigrationPayload, destShared *elf.Instance, consume bool) error {
 	if p.VP != c.VP {
 		return fmt.Errorf("core: payload for rank %d restored into context of rank %d", p.VP, c.VP)
 	}
-	if consume {
-		c.Heap = mem.RestoreConsume(p.Heap)
-	} else {
-		c.Heap = mem.Restore(p.Heap)
-	}
+	c.Heap = mem.Restore(p.Heap)
 	// Every cached cell pointer referenced the old heap, TLS block, and
 	// instances; force handles to re-resolve.
 	c.invalidateResolutions()

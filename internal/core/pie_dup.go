@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"provirt/internal/elf"
 	"provirt/internal/mem"
@@ -13,23 +14,85 @@ type dupResult struct {
 	inst     *elf.Instance
 	codeAddr uint64
 	dataAddr uint64
-	// heapObjAddrs maps original ctor-heap-object addresses to this
-	// rank's replicated copies.
-	heapObjAddrs map[uint64]uint64
+	// objAddrs are the rank's copies of the ctor heap objects, in the
+	// base instance's order.
+	objAddrs []uint64
+}
+
+// Relocation targets: the code segment, the data segment, or (values
+// >= 0) the ctor heap object with that index.
+const (
+	relocCode = -2
+	relocData = -1
+)
+
+// reloc is one word the §3.3 pointer scan rebases: every copy stores
+// its own base of target plus off at word.
+type reloc struct {
+	word   int
+	target int
+	off    uint64
+}
+
+// relocations is the pointer scan of one base instance: the words of
+// its data segment, and of each ctor heap object, whose values look
+// like pointers into the instance. Which words those are depends only
+// on the base instance, never on the rank, so pieglobals scans once per
+// Setup and replays the list for every rank in O(relocations).
+type relocations struct {
+	data []reloc
+	objs [][]reloc
+}
+
+// scanRelocations runs the §3.3 scan over src: a word is rebased when
+// its value falls inside the code segment, else inside the data
+// segment, else inside a ctor heap object (the first that contains it).
+// The test is on the integer value alone, so a non-pointer that happens
+// to look like one is rebased too — the false-positive hazard the
+// authors plan to engineer away, preserved deliberately (see
+// TestPIEglobalsFalsePositive).
+func scanRelocations(src *elf.Instance) *relocations {
+	classify := func(w uint64) (target int, off uint64, ok bool) {
+		switch {
+		case src.ContainsCode(w):
+			return relocCode, w - src.CodeBase, true
+		case src.ContainsData(w):
+			return relocData, w - src.DataBase, true
+		}
+		if o := src.HeapObjAt(w); o != nil {
+			return slices.Index(src.HeapObjs, o), w - o.Addr, true
+		}
+		return 0, 0, false
+	}
+	scan := func(p *mem.Payload) []reloc {
+		var out []reloc
+		for i, n := 0, p.Len(); i < n; i++ {
+			// Zero is never inside a segment; skipping it keeps the scan
+			// off the all-zero pages of the .bss bulk.
+			if w := p.At(i); w != 0 {
+				if target, off, ok := classify(w); ok {
+					out = append(out, reloc{word: i, target: target, off: off})
+				}
+			}
+		}
+		return out
+	}
+	r := &relocations{data: scan(src.Data), objs: make([][]reloc, len(src.HeapObjs))}
+	for j, o := range src.HeapObjs {
+		r.objs[j] = scan(o.Data)
+	}
+	return r
 }
 
 // duplicateInstance implements the PIEglobals copy: allocate the code
-// and data segments in the rank's Isomalloc heap, memcpy them, scan the
-// data copy for values that look like pointers into the original
-// segments (or into constructor heap allocations) and rebase them, and
-// replicate the constructor heap allocations themselves.
+// and data segments in the rank's Isomalloc heap, copy them, rebase the
+// data copy's pointer-looking words (relocs, the scan of src) into the
+// copies, and replicate the constructor heap allocations themselves.
 //
-// The scan is the "contents that look like pointers" heuristic of §3.3:
-// a data word whose integer value happens to fall inside the original
-// segment ranges is rebased even if it was never a pointer — the false
-// positive hazard the authors plan to engineer away. The simulation
-// preserves that hazard deliberately (see TestPIEglobalsFalsePositive).
-func duplicateInstance(env *ProcessEnv, src *elf.Instance, heap *mem.Heap, opts PIEOptions) (*dupResult, sim.Time, error) {
+// The copies share src's pages copy-on-write, so host work follows the
+// pages the relocations write. The virtual charges are the paper's: a
+// full copy of both segments and a scan of every word.
+func duplicateInstance(env *ProcessEnv, src *elf.Instance, relocs *relocations, heap *mem.Heap, opts PIEOptions) (*dupResult, sim.Time, error) {
 	img := src.Img
 	var cost sim.Time
 
@@ -37,8 +100,8 @@ func duplicateInstance(env *ProcessEnv, src *elf.Instance, heap *mem.Heap, opts 
 	if err != nil {
 		return nil, 0, err
 	}
-	dataBytes := uint64(len(src.Data)) * 8
-	dataBlk, err := heap.Alloc(dataBytes, "pie-data-segment")
+	dataBytes := uint64(src.Data.Len()) * 8
+	dataBlk, err := heap.AllocFrom(src.Data, "pie-data-segment")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -67,58 +130,40 @@ func duplicateInstance(env *ProcessEnv, src *elf.Instance, heap *mem.Heap, opts 
 	}
 	cost += env.Cost.PageMapTime(img.CodeSize + dataBytes)
 
-	dup := &dupResult{
-		codeAddr:     codeBlk.Addr,
-		dataAddr:     dataBlk.Addr,
-		heapObjAddrs: make(map[uint64]uint64),
-	}
-
-	// Replicate constructor heap allocations first so the data scan
-	// can redirect pointers to them.
+	dup := &dupResult{codeAddr: codeBlk.Addr, dataAddr: dataBlk.Addr}
 	var objs []*elf.HeapObj
 	for _, o := range src.HeapObjs {
-		blk, err := heap.Alloc(o.Size, "pie-ctor-alloc")
+		blk, err := heap.AllocFrom(o.Data, "pie-ctor-alloc")
 		if err != nil {
 			return nil, 0, err
 		}
-		copy(blk.Words, o.Words)
 		cost += env.Cost.CopyTime(o.Size) + env.Cost.CtorReplayPerAlloc
-		dup.heapObjAddrs[o.Addr] = blk.Addr
-		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: o.Size, Words: blk.Words})
+		dup.objAddrs = append(dup.objAddrs, blk.Addr)
+		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: o.Size, Data: blk.Data})
 	}
 
-	rebase := func(w uint64) uint64 {
-		switch {
-		case src.ContainsCode(w):
-			return dup.codeAddr + (w - src.CodeBase)
-		case src.ContainsData(w):
-			return dup.dataAddr + (w - src.DataBase)
+	base := func(target int) uint64 {
+		switch target {
+		case relocCode:
+			return dup.codeAddr
+		case relocData:
+			return dup.dataAddr
 		default:
-			if na, ok := dup.heapObjAddrs[w]; ok {
-				return na
-			}
-			if obj := src.HeapObjAt(w); obj != nil {
-				return dup.heapObjAddrs[obj.Addr] + (w - obj.Addr)
-			}
-			return w
+			return dup.objAddrs[target]
 		}
 	}
-
-	// Copy + scan the data segment (GOT entries live inside it and are
-	// rebased by the same pass).
-	copy(dataBlk.Words, src.Data)
-	for i, w := range dataBlk.Words {
-		dataBlk.Words[i] = rebase(w)
-	}
-	cost += sim.Time(len(dataBlk.Words)) * env.Cost.PointerScanPerWord
-
-	// Scan the replicated constructor heap objects for pointers into
-	// the original segments (vtables, cross-object pointers).
-	for _, o := range objs {
-		for i, w := range o.Words {
-			o.Words[i] = rebase(w)
+	replay := func(dst *mem.Payload, list []reloc) {
+		for _, r := range list {
+			dst.Set(r.word, base(r.target)+r.off)
 		}
-		cost += sim.Time(len(o.Words)) * env.Cost.PointerScanPerWord
+		cost += sim.Time(dst.Len()) * env.Cost.PointerScanPerWord
+	}
+	// GOT entries live inside the data segment and are rebased by the
+	// same pass; the ctor objects' pointers (vtables, cross-object
+	// pointers) by their own lists.
+	replay(dataBlk.Data, relocs.data)
+	for j, o := range objs {
+		replay(o.Data, relocs.objs[j])
 	}
 
 	dup.inst = &elf.Instance{
@@ -126,7 +171,7 @@ func duplicateInstance(env *ProcessEnv, src *elf.Instance, heap *mem.Heap, opts 
 		Namespace:  src.Namespace,
 		CodeBase:   dup.codeAddr,
 		DataBase:   dup.dataAddr,
-		Data:       dataBlk.Words,
+		Data:       dataBlk.Data,
 		HeapObjs:   objs,
 		Migratable: true,
 	}
@@ -149,19 +194,19 @@ func rebindPrivateInstance(c *RankContext) error {
 		return fmt.Errorf("core: rank %d: restored heap lost code segment block at %#x", c.VP, c.pieCodeAddr)
 	}
 	var objs []*elf.HeapObj
-	for _, na := range c.pieHeapObjAddrs {
+	for _, na := range c.pieObjAddrs {
 		blk := c.Heap.Lookup(na)
 		if blk == nil {
 			return fmt.Errorf("core: rank %d: restored heap lost ctor allocation at %#x", c.VP, na)
 		}
-		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: blk.Size, Words: blk.Words})
+		objs = append(objs, &elf.HeapObj{Addr: blk.Addr, Size: blk.Size, Data: blk.Data})
 	}
 	c.Private = &elf.Instance{
 		Img:        c.Img,
 		Namespace:  c.Private.Namespace,
 		CodeBase:   c.pieCodeAddr,
 		DataBase:   c.pieDataAddr,
-		Data:       dataBlk.Words,
+		Data:       dataBlk.Data,
 		HeapObjs:   objs,
 		Migratable: true,
 	}

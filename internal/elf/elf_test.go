@@ -82,10 +82,10 @@ func TestInstanceInitialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Data[img.VarByName("g1").Index] != 10 {
+	if in.Data.At(img.VarByName("g1").Index) != 10 {
 		t.Error("g1 init wrong")
 	}
-	if in.Data[img.VarByName("c1").Index] != 30 {
+	if in.Data.At(img.VarByName("c1").Index) != 30 {
 		t.Error("c1 init wrong")
 	}
 	// GOT holds absolute addresses of external-linkage vars and funcs.
@@ -170,7 +170,7 @@ func TestRunCtors(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("%d ctor allocs", n)
 	}
-	objPtr := in.Data[img.VarByName("obj_ptr").Index]
+	objPtr := in.Data.At(img.VarByName("obj_ptr").Index)
 	if objPtr != 0x9000000 {
 		t.Errorf("obj_ptr = %#x", objPtr)
 	}
@@ -179,13 +179,13 @@ func TestRunCtors(t *testing.T) {
 		t.Fatal("heap object not recorded")
 	}
 	// Slot 1 holds a pointer to some function in this instance's code.
-	if fp := obj.Words[1]; !in.ContainsCode(fp) {
+	if fp := obj.Data.At(1); !in.ContainsCode(fp) {
 		t.Errorf("vtable slot %#x outside code", fp)
 	}
-	if in.Data[img.VarByName("vfn_ptr").Index] != in.FuncAddr(img.FuncByName("virtual_method")) {
+	if in.Data.At(img.VarByName("vfn_ptr").Index) != in.FuncAddr(img.FuncByName("virtual_method")) {
 		t.Error("function-pointer write wrong")
 	}
-	if in.Data[img.VarByName("plain").Index] != 77 {
+	if in.Data.At(img.VarByName("plain").Index) != 77 {
 		t.Error("plain write wrong")
 	}
 }
@@ -198,8 +198,8 @@ func TestDataSegmentAccommodatesGOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in.Data) < 1+2 { // one var cell + var GOT + func GOT
-		t.Fatalf("data words %d too small", len(in.Data))
+	if in.Data.Len() < 1+2 { // one var cell + var GOT + func GOT
+		t.Fatalf("data words %d too small", in.Data.Len())
 	}
 }
 
@@ -243,7 +243,7 @@ func TestInstanceInitProperty(t *testing.T) {
 		}
 		for i, v := range inits {
 			va := img.VarByName(name(i))
-			if in.Data[va.Index] != v {
+			if in.Data.At(va.Index) != v {
 				return false
 			}
 			if got, ok := in.GOTEntryForVar(va); ok && got != in.VarAddr(va) {

@@ -1,13 +1,17 @@
 package elf
 
-import "fmt"
+import (
+	"fmt"
+
+	"provirt/internal/mem"
+)
 
 // HeapObj is a heap allocation made by a static constructor at load
 // time, owned by a particular instance of the image.
 type HeapObj struct {
-	Addr  uint64
-	Size  uint64
-	Words []uint64
+	Addr uint64
+	Size uint64
+	Data *mem.Payload
 }
 
 // Instance is one loaded copy of an Image, mapped at concrete segment
@@ -27,8 +31,10 @@ type Instance struct {
 	Namespace int
 	CodeBase  uint64
 	DataBase  uint64
-	// Data holds the full data segment as 8-byte words.
-	Data []uint64
+	// Data holds the full data segment as 8-byte words, in
+	// copy-on-write pages: a PIEglobals copy shares the pages of the
+	// instance it was duplicated from until it writes them.
+	Data *mem.Payload
 	// HeapObjs are the static-constructor heap allocations belonging to
 	// this instance.
 	HeapObjs []*HeapObj
@@ -73,18 +79,18 @@ func NewInstance(img *Image, codeBase, dataBase uint64, namespace int) (*Instanc
 	if words < need {
 		words = need
 	}
-	in.Data = make([]uint64, words)
+	in.Data = mem.NewPayload(words)
 	for _, v := range img.Vars {
-		in.Data[v.Index] = v.Init
+		in.Data.Set(v.Index, v.Init)
 	}
 	gb := in.gotBase()
 	for _, v := range img.Vars {
 		if slot := in.gotIndexOfVar(v); slot >= 0 {
-			in.Data[gb+slot] = in.VarAddr(v)
+			in.Data.Set(gb+slot, in.VarAddr(v))
 		}
 	}
 	for _, f := range img.Funcs {
-		in.Data[gb+in.gotIndexOfFunc(f)] = in.FuncAddr(f)
+		in.Data.Set(gb+in.gotIndexOfFunc(f), in.FuncAddr(f))
 	}
 	if codeBase == dataBase {
 		return nil, fmt.Errorf("elf: code and data segments must not alias")
@@ -133,7 +139,7 @@ func (in *Instance) GOTEntryForVar(v *Var) (addr uint64, ok bool) {
 	if slot < 0 {
 		return 0, false
 	}
-	return in.Data[in.gotBase()+slot], true
+	return in.Data.At(in.gotBase() + slot), true
 }
 
 // SetGOTEntryForVar overwrites the GOT slot for an external-linkage
@@ -144,7 +150,7 @@ func (in *Instance) SetGOTEntryForVar(v *Var, addr uint64) error {
 	if slot < 0 {
 		return fmt.Errorf("elf: %s has no GOT entry (static variable)", v.Name)
 	}
-	in.Data[in.gotBase()+slot] = addr
+	in.Data.Set(in.gotBase()+slot, addr)
 	return nil
 }
 
@@ -181,16 +187,16 @@ func (in *Instance) RunCtors(alloc func(size uint64) uint64) (int, error) {
 		for i, a := range c.Allocs {
 			size := (a.Size + 7) &^ 7
 			addr := alloc(size)
-			obj := &HeapObj{Addr: addr, Size: size, Words: make([]uint64, size/8)}
+			obj := &HeapObj{Addr: addr, Size: size, Data: mem.NewPayload(int(size / 8))}
 			for _, slot := range a.FuncPtrSlots {
-				if slot < 0 || slot >= len(obj.Words) {
-					return count, fmt.Errorf("elf: ctor func-ptr slot %d outside alloc of %d words", slot, len(obj.Words))
+				if slot < 0 || slot >= obj.Data.Len() {
+					return count, fmt.Errorf("elf: ctor func-ptr slot %d outside alloc of %d words", slot, obj.Data.Len())
 				}
 				if len(in.Img.Funcs) == 0 {
 					return count, fmt.Errorf("elf: ctor func-ptr slot with no functions declared")
 				}
 				f := in.Img.Funcs[slot%len(in.Img.Funcs)]
-				obj.Words[slot] = in.FuncAddr(f)
+				obj.Data.Set(slot, in.FuncAddr(f))
 			}
 			objs[i] = obj
 			in.HeapObjs = append(in.HeapObjs, obj)
@@ -200,11 +206,11 @@ func (in *Instance) RunCtors(alloc func(size uint64) uint64) (int, error) {
 			v := in.Img.VarByName(w.VarName)
 			switch {
 			case w.PointsToFunc != "":
-				in.Data[v.Index] = in.FuncAddr(in.Img.FuncByName(w.PointsToFunc))
+				in.Data.Set(v.Index, in.FuncAddr(in.Img.FuncByName(w.PointsToFunc)))
 			case w.PointsToAlloc >= 0 && w.PointsToAlloc < len(objs):
-				in.Data[v.Index] = objs[w.PointsToAlloc].Addr
+				in.Data.Set(v.Index, objs[w.PointsToAlloc].Addr)
 			default:
-				in.Data[v.Index] = w.Value
+				in.Data.Set(v.Index, w.Value)
 			}
 		}
 	}

@@ -1,65 +1,75 @@
 package mem
 
 import (
+	"sync"
 	"testing"
 )
 
-// sameArray reports whether two word slices share backing storage.
-func sameArray(a, b []uint64) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+// samePage reports whether two payloads hold the same physical page pg
+// (shared, not copied).
+func samePage(a, b *Payload, pg int) bool {
+	x, y := a.pages[pg].w, b.pages[pg].w
+	return len(x) > 0 && len(y) > 0 && &x[0] == &y[0]
 }
 
 // TestSerializeIncrementalSharing pins the dirty-block contract: a
-// clean block's payload is shared with the previous snapshot (no copy),
-// a touched block's payload is re-copied, and DeltaBytes reports
-// exactly the re-copied sizes.
+// snapshot copies no payload — its pages are the live heap's, frozen —
+// a clean block keeps sharing the previous snapshot's page, a written
+// block gets a private copy of only the page it wrote, and DeltaBytes
+// reports exactly the touched blocks' sizes.
 func TestSerializeIncrementalSharing(t *testing.T) {
 	h := NewHeap(0)
 	a, _ := h.Alloc(64, "a")
 	b, _ := h.Alloc(128, "b")
 	ballast, _ := h.AllocBallast(4096, "ballast")
-	a.Words[0], b.Words[0] = 1, 2
+	a.Set(0, 1)
+	b.Set(0, 2)
 
 	s1 := h.Serialize()
 	if s1.DeltaBytes() != s1.Bytes() {
 		t.Fatalf("first snapshot delta %d, want full %d", s1.DeltaBytes(), s1.Bytes())
+	}
+	if !samePage(s1.Blocks[0].Data, a.Data, 0) {
+		t.Fatal("serialize copied a page instead of freezing it")
 	}
 
 	s2 := h.Serialize()
 	if s2.DeltaBytes() != 0 {
 		t.Fatalf("unchanged heap delta %d, want 0", s2.DeltaBytes())
 	}
-	if !sameArray(s2.Blocks[0].Words, s1.Blocks[0].Words) ||
-		!sameArray(s2.Blocks[1].Words, s1.Blocks[1].Words) {
+	if !samePage(s2.Blocks[0].Data, s1.Blocks[0].Data, 0) ||
+		!samePage(s2.Blocks[1].Data, s1.Blocks[1].Data, 0) {
 		t.Fatal("clean blocks were re-copied instead of shared")
 	}
 
-	a.Words[0] = 42
-	a.Touch()
+	a.Set(0, 42)
 	s3 := h.Serialize()
 	if s3.DeltaBytes() != a.Size {
-		t.Fatalf("delta %d after touching a, want %d", s3.DeltaBytes(), a.Size)
+		t.Fatalf("delta %d after writing a, want %d", s3.DeltaBytes(), a.Size)
 	}
-	if sameArray(s3.Blocks[0].Words, s2.Blocks[0].Words) {
-		t.Fatal("dirty block shared the stale cached copy")
+	if samePage(s3.Blocks[0].Data, s2.Blocks[0].Data, 0) {
+		t.Fatal("dirty block shared the stale frozen page")
 	}
-	if !sameArray(s3.Blocks[1].Words, s2.Blocks[1].Words) {
+	if !samePage(s3.Blocks[1].Data, s2.Blocks[1].Data, 0) {
 		t.Fatal("clean block was re-copied")
 	}
 	// Snapshot isolation: the earlier snapshots still see the old value.
-	if s1.Blocks[0].Words[0] != 1 || s2.Blocks[0].Words[0] != 1 || s3.Blocks[0].Words[0] != 42 {
+	if s1.Blocks[0].At(0) != 1 || s2.Blocks[0].At(0) != 1 || s3.Blocks[0].At(0) != 42 {
 		t.Fatalf("snapshot isolation broken: %d / %d / %d",
-			s1.Blocks[0].Words[0], s2.Blocks[0].Words[0], s3.Blocks[0].Words[0])
+			s1.Blocks[0].At(0), s2.Blocks[0].At(0), s3.Blocks[0].At(0))
 	}
-	_ = ballast
+	if ballast.Data != nil || s3.Blocks[2].Data != nil {
+		t.Fatal("ballast block grew a payload")
+	}
 }
 
-// TestFreePurgesSnapshotCache: recycling a freed block's struct must
-// never revive the freed generation's cached payload.
-func TestFreePurgesSnapshotCache(t *testing.T) {
+// TestFreeNeverRevivesStalePayload: recycling a freed block's struct
+// must never revive the freed generation's payload, in the live heap or
+// in the next snapshot, and the recycled block counts as dirty.
+func TestFreeNeverRevivesStalePayload(t *testing.T) {
 	h := NewHeap(0)
 	a, _ := h.Alloc(64, "a")
-	a.Words[0] = 7
+	a.Set(0, 7)
 	h.Serialize()
 	if err := h.Free(a.Addr); err != nil {
 		t.Fatal(err)
@@ -68,10 +78,17 @@ func TestFreePurgesSnapshotCache(t *testing.T) {
 	if b.Addr != a.Addr {
 		t.Fatalf("expected address reuse, got %#x vs %#x", b.Addr, a.Addr)
 	}
-	b.Words[0] = 9
+	if b.At(0) != 0 {
+		t.Fatalf("recycled block reads %d, want a zeroed payload", b.At(0))
+	}
+	b.Data.Set(1, 9) // a raw write: no Touch, yet the block is new
 	s := h.Serialize()
-	if s.Blocks[len(s.Blocks)-1].Words[0] != 9 {
+	last := s.Blocks[len(s.Blocks)-1]
+	if last.At(0) != 0 || last.At(1) != 9 {
 		t.Fatal("snapshot revived the freed block's stale payload")
+	}
+	if s.DeltaBytes() != b.Size {
+		t.Fatalf("recycled block delta %d, want %d", s.DeltaBytes(), b.Size)
 	}
 }
 
@@ -117,7 +134,7 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Words[0] = uint64(i)
+		b.Set(0, uint64(i))
 		hold = append(hold, b)
 		if i%3 == 2 { // free every third, creating reusable spans
 			victim := hold[i/3]
@@ -147,7 +164,7 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 		if nb.Size != b.Size || nb.Label != b.Label || nb.Shared != b.Shared {
 			t.Fatalf("block %#x metadata diverged: %+v vs %+v", b.Addr, nb, b)
 		}
-		if b.Words != nil && nb.Words[0] != b.Words[0] {
+		if b.Data != nil && nb.At(0) != b.At(0) {
 			t.Fatalf("block %#x payload diverged", b.Addr)
 		}
 	}
@@ -172,78 +189,83 @@ func TestSnapshotRoundTripUnderChurn(t *testing.T) {
 func TestRestoreSeedsIncrementalCache(t *testing.T) {
 	h := NewHeap(5)
 	a, _ := h.Alloc(256, "a")
-	a.Words[3] = 11
+	a.Set(3, 11)
 	snap := h.Serialize()
 	h2 := Restore(snap)
 	s2 := h2.Serialize()
 	if s2.DeltaBytes() != 0 {
 		t.Fatalf("restored heap's first snapshot delta %d, want 0", s2.DeltaBytes())
 	}
-	// And it shares the original snapshot's arrays rather than copying.
-	if !sameArray(s2.Blocks[0].Words, snap.Blocks[0].Words) {
+	// And it shares the original snapshot's pages rather than copying.
+	if !samePage(s2.Blocks[0].Data, snap.Blocks[0].Data, 0) {
 		t.Fatal("restored heap re-copied a clean block")
 	}
 	// Writes on the restored heap must not leak into either snapshot.
 	a2 := h2.Lookup(a.Addr)
-	a2.Words[3] = 99
-	a2.Touch()
-	if snap.Blocks[0].Words[3] != 11 || s2.Blocks[0].Words[3] != 11 {
+	a2.Set(3, 99)
+	if snap.Blocks[0].At(3) != 11 || s2.Blocks[0].At(3) != 11 {
 		t.Fatal("live write leaked into an immutable snapshot")
 	}
 }
 
-// TestRestoreConsumeAdoptsFreshArrays: the migration path adopts the
-// snapshot's freshly copied payloads zero-copy, while arrays shared
-// with an earlier (kept) snapshot are copied so the keeper stays
-// intact.
-func TestRestoreConsumeAdoptsFreshArrays(t *testing.T) {
+// TestRestoreSharesSnapshotPages: restoring copies nothing — every
+// restored block shares the snapshot's pages, whether they were frozen
+// by this snapshot or by an earlier, kept one — yet writes on the
+// restored heap, or on a sibling restored from the same snapshot, never
+// reach either snapshot, and a later snapshot of the restored heap sees
+// the writes and stays immutable after them.
+func TestRestoreSharesSnapshotPages(t *testing.T) {
 	h := NewHeap(6)
 	a, _ := h.Alloc(64, "a")
 	b, _ := h.Alloc(64, "b")
-	a.Words[0], b.Words[0] = 1, 2
+	a.Set(0, 1)
+	b.Set(0, 2)
 
-	ck := h.Serialize() // kept checkpoint: both blocks fresh here
-	b.Words[0] = 22
-	b.Touch()
-	mig := h.Serialize() // a clean (shared with ck), b dirty (fresh)
+	ck := h.Serialize() // kept checkpoint
+	b.Set(0, 22)
+	mig := h.Serialize() // a clean (page shared with ck), b dirty
 
-	h2 := RestoreConsume(mig)
+	h2, sib := Restore(mig), Restore(mig)
 	a2, b2 := h2.Lookup(a.Addr), h2.Lookup(b.Addr)
-	if !sameArray(b2.Words, mig.Blocks[1].Words) {
-		t.Fatal("fresh dirty payload was copied instead of adopted")
+	if !samePage(a2.Data, ck.Blocks[0].Data, 0) || !samePage(b2.Data, mig.Blocks[1].Data, 0) {
+		t.Fatal("restore copied a page instead of sharing it")
 	}
-	if sameArray(a2.Words, ck.Blocks[0].Words) {
-		t.Fatal("payload shared with a kept snapshot was adopted — the checkpoint is now mutable")
+	a2.Set(0, 100)
+	b2.Set(0, 200)
+	if ck.Blocks[0].At(0) != 1 || ck.Blocks[1].At(0) != 2 {
+		t.Fatalf("checkpoint corrupted: %d/%d", ck.Blocks[0].At(0), ck.Blocks[1].At(0))
 	}
-	// Destination writes must not corrupt the kept checkpoint.
-	a2.Words[0] = 100
-	b2.Words[0] = 200
-	if ck.Blocks[0].Words[0] != 1 || ck.Blocks[1].Words[0] != 2 {
-		t.Fatalf("checkpoint corrupted: %d/%d", ck.Blocks[0].Words[0], ck.Blocks[1].Words[0])
+	if mig.Blocks[0].At(0) != 1 || mig.Blocks[1].At(0) != 22 {
+		t.Fatalf("migration snapshot corrupted: %d/%d", mig.Blocks[0].At(0), mig.Blocks[1].At(0))
 	}
-	// Adopted blocks are cached as aliased entries: the next serialize
-	// must re-copy the live array (never share it), so the snapshot sees
-	// the current content and stays immutable afterwards.
+	if sib.Lookup(a.Addr).At(0) != 1 || sib.Lookup(b.Addr).At(0) != 22 {
+		t.Fatal("a write leaked into a sibling restored from the same snapshot")
+	}
 	s := h2.Serialize()
-	if s.Blocks[1].Words[0] != 200 {
-		t.Fatal("post-consume serialize missed the adopted block's mutation")
+	if s.Blocks[1].At(0) != 200 {
+		t.Fatal("post-restore serialize missed the restored block's write")
 	}
-	if sameArray(s.Blocks[1].Words, b2.Words) {
-		t.Fatal("serialize shared a live adopted array into a snapshot")
+	b2.Set(0, 300)
+	if s.Blocks[1].At(0) != 200 {
+		t.Fatal("a write after serialize reached the snapshot")
 	}
 }
 
 // TestMigrationLoopStaysIncremental drives the full migration lifecycle
-// — serialize, consume-restore, mutate, repeat — and checks that after
-// the first full-payload round, every later round's wire delta is only
-// the touched bytes, even though consume-restore adopts arrays
-// zero-copy.
+// — serialize, restore, mutate, repeat — and checks that after the
+// first full-payload round, every later round's wire delta is only the
+// touched bytes, and that the host copies only the written page: the
+// cold block's pages are shared through every round.
 func TestMigrationLoopStaysIncremental(t *testing.T) {
 	h := NewHeap(8)
 	hot, _ := h.Alloc(64, "hot")
 	cold, _ := h.Alloc(1<<16, "cold")
-	hot.Words[0], cold.Words[0] = 1, 100
+	hot.Set(0, 1)
+	for pg := 0; pg < (1<<16)/PageSize; pg++ {
+		cold.Set(pg*PageWords, 100+uint64(pg))
+	}
 	hotAddr, coldAddr := hot.Addr, cold.Addr
+	coldPages := cold.Data
 
 	heap := h
 	for round := 0; round < 4; round++ {
@@ -255,16 +277,21 @@ func TestMigrationLoopStaysIncremental(t *testing.T) {
 		} else if s.DeltaBytes() != 64 {
 			t.Fatalf("round %d delta %d, want only the 64 touched bytes", round, s.DeltaBytes())
 		}
-		heap = RestoreConsume(s)
+		heap = Restore(s)
 		hb := heap.Lookup(hotAddr)
-		hb.Words[0]++
-		hb.Touch()
+		hb.Set(0, hb.At(0)+1)
 	}
-	if got := heap.Lookup(hotAddr).Words[0]; got != 5 {
+	if got := heap.Lookup(hotAddr).At(0); got != 5 {
 		t.Fatalf("hot cell %d after 4 rounds, want 5", got)
 	}
-	if got := heap.Lookup(coldAddr).Words[0]; got != 100 {
-		t.Fatalf("cold cell corrupted: %d", got)
+	cb := heap.Lookup(coldAddr)
+	for pg := 0; pg < (1<<16)/PageSize; pg++ {
+		if got := cb.At(pg * PageWords); got != 100+uint64(pg) {
+			t.Fatalf("cold page %d corrupted: %d", pg, got)
+		}
+		if !samePage(cb.Data, coldPages, pg) {
+			t.Fatalf("cold page %d was copied by the migration loop", pg)
+		}
 	}
 }
 
@@ -298,4 +325,38 @@ func TestAccountingCountersMatchRescan(t *testing.T) {
 	check("free")
 	h.Alloc(24, "split") // splits a's 104-byte span
 	check("split")
+}
+
+// TestConcurrentRestoresOfOneSnapshot: a snapshot is only read when
+// restored, so goroutines may restore and write through the same
+// snapshot at once (sweep workers restarting from one checkpoint)
+// without racing each other or changing what it holds.
+func TestConcurrentRestoresOfOneSnapshot(t *testing.T) {
+	h := NewHeap(2)
+	a, _ := h.Alloc(3*PageSize, "a")
+	for pg := 0; pg < 3; pg++ {
+		a.Set(pg*PageWords, uint64(pg+1))
+	}
+	snap := h.Serialize()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := Restore(snap)
+			blk := r.Lookup(a.Addr)
+			for pg := 0; pg < 3; pg++ {
+				blk.Set(pg*PageWords, uint64(100*g+pg))
+			}
+			if s := r.Serialize(); s.Blocks[0].At(2*PageWords) != uint64(100*g+2) {
+				t.Errorf("goroutine %d: its snapshot lost its own write", g)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for pg := 0; pg < 3; pg++ {
+		if got := snap.Blocks[0].At(pg * PageWords); got != uint64(pg+1) {
+			t.Fatalf("shared snapshot page %d reads %d after concurrent restores", pg, got)
+		}
+	}
 }

@@ -12,11 +12,11 @@ type Block struct {
 	Addr  uint64
 	Size  uint64
 	Label string
-	// Words is the allocation's payload, one uint64 per 8 bytes, or nil
-	// for footprint-only ballast. Pointer values stored here survive
-	// migration verbatim because the block's address is identical in
-	// every process.
-	Words []uint64
+	// Data is the allocation's payload, one word per 8 bytes in
+	// copy-on-write pages, or nil for footprint-only ballast. Pointer
+	// values stored here survive migration verbatim because the block's
+	// address is identical in every process.
+	Data *Payload
 	// Shared marks a block backed by a shared read-only mapping (one
 	// physical copy mapped from a single descriptor, per the paper's
 	// §6 future-work plan). Shared blocks occupy virtual address space
@@ -32,9 +32,10 @@ type Block struct {
 	// Ignored when Shared is set (the whole block is already shared).
 	SharedBytes uint64
 	// gen is the block's generation stamp: it advances whenever the
-	// payload may have changed, and a snapshot entry is reusable only
-	// while its recorded generation still matches. See Touch.
-	gen uint64
+	// payload may have changed (see Touch). snapGen is gen as of the
+	// heap's last Serialize; the block is clean — zero delta bytes —
+	// while the two match.
+	gen, snapGen uint64
 }
 
 // End returns one past the last byte of the block.
@@ -52,12 +53,22 @@ func (b *Block) sharedSpan() uint64 {
 // residentSpan returns the block's private (resident) byte count.
 func (b *Block) residentSpan() uint64 { return b.Size - b.sharedSpan() }
 
-// Touch marks the block's payload as modified since the last snapshot.
-// The runtime's write paths (privatized stores, charge-only access
-// batches) call it automatically; code that mutates Words directly
-// between two Serialize calls on the same heap must call it by hand, or
-// the next incremental snapshot will reuse the stale cached copy.
+// Touch marks the block's payload as modified since the last snapshot,
+// so the next one counts the block in its delta. Snapshot contents never
+// depend on it — pages are copy-on-write — only the delta accounting
+// does. The runtime's write paths (privatized stores, charge-only access
+// batches, Set) call it; code that writes Data directly between two
+// Serialize calls on the same heap calls it by hand.
 func (b *Block) Touch() { b.gen++ }
+
+// At returns payload word i.
+func (b *Block) At(i int) uint64 { return b.Data.At(i) }
+
+// Set stores v in payload word i and touches the block.
+func (b *Block) Set(i int, v uint64) {
+	b.Data.Set(i, v)
+	b.Touch()
+}
 
 // Heap is a per-rank Isomalloc heap: a bump allocator with free-list
 // reuse inside the rank's reserved virtual address range. All state
@@ -77,23 +88,6 @@ type Heap struct {
 	// Alloc/Free/MarkShared so the accessors never rescan.
 	live     uint64
 	resident uint64
-	// clean caches, per block, the words array captured by the last
-	// Serialize and the generation it captured. While the generation
-	// still matches, the next snapshot reuses the cached array instead
-	// of copying the payload again.
-	clean map[*Block]snapEntry
-}
-
-type snapEntry struct {
-	gen   uint64
-	words []uint64 // nil for ballast blocks
-	// aliased marks an entry whose words array IS the block's live
-	// payload (a zero-copy adoption by RestoreConsume). Such an array
-	// must never be shared into a snapshot — the rank may keep writing
-	// through it — but while the generation matches, its content is
-	// known-unchanged, so re-copying it costs a local memcpy and zero
-	// wire delta.
-	aliased bool
 }
 
 // NewHeap returns an empty heap for virtual rank vp. vp must be within
@@ -127,7 +121,19 @@ func (h *Heap) Alloc(size uint64, label string) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.Words = make([]uint64, b.Size/8)
+	b.Data = NewPayload(int(b.Size / 8))
+	return b, nil
+}
+
+// AllocFrom allocates a block holding a copy of src. The block shares
+// src's pages until either side writes one: only written pages are ever
+// copied.
+func (h *Heap) AllocFrom(src *Payload, label string) (*Block, error) {
+	b, err := h.allocRaw(uint64(src.Len())*8, label)
+	if err != nil {
+		return nil, err
+	}
+	b.Data = src.Clone()
 	return b, nil
 }
 
@@ -175,7 +181,7 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 		b.Label = label
 		b.Shared = false
 		b.SharedBytes = 0
-		b.gen++ // never match a stale snapshot entry from a past life
+		b.gen++ // new contents: dirty for the next snapshot
 		if f.Size > size {
 			h.free[i] = &Block{Addr: f.Addr + size, Size: f.Size - size}
 			b.Size = size
@@ -191,7 +197,7 @@ func (h *Heap) allocRaw(size uint64, label string) (*Block, error) {
 	if h.brk+size > h.limit {
 		return nil, fmt.Errorf("isomalloc: rank %d range exhausted (%d bytes requested)", h.vp, size)
 	}
-	b := &Block{Addr: h.brk, Size: size, Label: label}
+	b := &Block{Addr: h.brk, Size: size, Label: label, gen: 1} // never snapshotted: dirty
 	h.brk += size
 	h.blocks[b.Addr] = b
 	h.indexInsert(b)
@@ -208,10 +214,9 @@ func (h *Heap) Free(addr uint64) error {
 	}
 	delete(h.blocks, addr)
 	h.indexRemove(addr)
-	delete(h.clean, b) // the recycled struct must never revive a stale copy
 	h.live -= b.Size
 	h.resident -= b.residentSpan()
-	b.Words = nil
+	b.Data = nil
 	b.Label = ""
 	b.Shared = false
 	b.SharedBytes = 0
@@ -294,19 +299,17 @@ type FreeSpan struct {
 }
 
 // Snapshot is a serialized heap image: everything another process needs
-// to reconstruct the heap at identical addresses.
+// to reconstruct the heap at identical addresses. Block payloads are
+// frozen: a snapshot reads back its capture-time contents forever, and a
+// write through any of them panics.
 type Snapshot struct {
 	VP     int
 	Brk    uint64
 	Blocks []Block
 	// FreeSpans is the allocator's free list, address-ordered.
 	FreeSpans []FreeSpan
-	// fresh marks blocks whose words array was copied by this Serialize
-	// (as opposed to shared with an earlier snapshot); only a fresh
-	// array may be adopted zero-copy by RestoreConsume.
-	fresh []bool
-	// delta is the payload bytes that actually had to be copied: the
-	// incremental cost of this snapshot given the previous one.
+	// delta is the resident bytes of the blocks touched since the
+	// previous snapshot: the incremental cost of this snapshot.
 	delta uint64
 }
 
@@ -324,22 +327,22 @@ func (s *Snapshot) Bytes() uint64 {
 
 // DeltaBytes reports the payload bytes that changed since the previous
 // snapshot of the same heap — the incremental cost an
-// incremental-aware transport or filesystem pays. The first snapshot of
-// a heap has no predecessor, so its delta equals Bytes().
+// incremental-aware transport or filesystem pays. A block counts whole,
+// with its resident span, when it was allocated or touched since that
+// snapshot. The first snapshot of a heap has no predecessor, so its
+// delta equals Bytes().
 func (s *Snapshot) DeltaBytes() uint64 { return s.delta }
 
-// Serialize captures the heap for migration or checkpoint. Snapshots
-// are incremental: a block untouched since the previous Serialize
-// shares that snapshot's words array instead of being copied again,
-// and all blocks that do need copying go through one pooled buffer.
-// The returned snapshot is immutable and remains valid after the heap
-// changes or is discarded.
+// Serialize captures the heap for migration or checkpoint. It copies no
+// payload: each block's pages are frozen into the snapshot and shared
+// with the live heap, which copies a page again only when it next
+// writes it. The returned snapshot is immutable and remains valid after
+// the heap changes or is discarded.
 func (h *Heap) Serialize() *Snapshot {
 	snap := &Snapshot{
 		VP:     h.vp,
 		Brk:    h.brk,
-		Blocks: make([]Block, 0, len(h.index)),
-		fresh:  make([]bool, len(h.index)),
+		Blocks: make([]Block, len(h.index)),
 	}
 	if len(h.free) > 0 {
 		snap.FreeSpans = make([]FreeSpan, len(h.free))
@@ -347,56 +350,26 @@ func (h *Heap) Serialize() *Snapshot {
 			snap.FreeSpans[i] = FreeSpan{Addr: f.Addr, Size: f.Size}
 		}
 	}
-	if h.clean == nil {
-		h.clean = make(map[*Block]snapEntry, len(h.index))
-	}
-	// One pooled buffer backs every payload copy this snapshot makes:
-	// dirty blocks, plus clean blocks whose cached array aliases the live
-	// payload (adopted by a prior RestoreConsume) — those are re-copied
-	// locally so the snapshot stays immutable, but charge no delta.
-	var copyWords int
-	for _, b := range h.index {
-		if b.Words == nil {
-			continue
-		}
-		if e, ok := h.clean[b]; !ok || e.gen != b.gen || e.aliased {
-			copyWords += len(b.Words)
-		}
-	}
-	arena := make([]uint64, copyWords)
-	var reused, copied uint64
+	var reused, copied, frozenBytes uint64
 	for i, b := range h.index {
-		cp := Block{Addr: b.Addr, Size: b.Size, Label: b.Label, Shared: b.Shared, SharedBytes: b.SharedBytes}
-		e, cached := h.clean[b]
-		clean := cached && e.gen == b.gen
-		switch {
-		case clean && !e.aliased:
-			cp.Words = e.words
-			reused++
-		case b.Words == nil:
-			if !clean {
-				h.clean[b] = snapEntry{gen: b.gen}
-				snap.fresh[i] = true
-				snap.delta += b.residentSpan()
-			}
-		default:
-			w := arena[:len(b.Words):len(b.Words)]
-			arena = arena[len(b.Words):]
-			copy(w, b.Words)
-			cp.Words = w
-			copied++
-			h.clean[b] = snapEntry{gen: b.gen, words: w}
-			snap.fresh[i] = true
-			// A clean-but-aliased block's content is unchanged since the
-			// previous snapshot: the copy is a local memcpy, not wire
-			// bytes, so it contributes nothing to the delta. Shared spans
-			// (whole blocks or partial read-only prefixes) are remapped by
-			// the destination, never sent, so they never count either.
-			if !clean {
-				snap.delta += b.residentSpan()
-			}
+		cp := &snap.Blocks[i]
+		*cp = Block{Addr: b.Addr, Size: b.Size, Label: b.Label, Shared: b.Shared, SharedBytes: b.SharedBytes}
+		var fresh uint64
+		if b.Data != nil {
+			cp.Data, fresh = b.Data.freeze()
 		}
-		snap.Blocks = append(snap.Blocks, cp)
+		if fresh > 0 {
+			copied++
+			frozenBytes += fresh
+		} else {
+			reused++
+		}
+		// Shared spans (whole blocks or partial read-only prefixes) are
+		// remapped by the destination, never sent, so they never count.
+		if b.gen != b.snapGen {
+			snap.delta += b.residentSpan()
+			b.snapGen = b.gen
+		}
 	}
 	// Host-side accounting only; guarded so the metrics-off path pays a
 	// single pointer comparison and skips the Bytes() walk entirely.
@@ -406,29 +379,30 @@ func (h *Heap) Serialize() *Snapshot {
 		metrics.deltaBytes.Add(snap.delta)
 		metrics.blocksReused.Add(reused)
 		metrics.blocksCopied.Add(copied)
-		metrics.arenaBytes.Add(uint64(copyWords) * 8)
+		metrics.arenaBytes.Add(frozenBytes)
 	}
 	return snap
 }
 
-// rebuild reconstructs heap structure from a snapshot; words gives, for
-// each snapshot index, the restored block's live payload (already copied
-// or adopted by the caller) and the clean-cache entry to seed for it, so
-// the restored heap's own first Serialize is already incremental.
-func rebuild(snap *Snapshot, words func(i int) ([]uint64, snapEntry)) *Heap {
+// Restore reconstructs a heap from a snapshot. Addresses are preserved
+// exactly; this is what makes Isomalloc migration transparent to any
+// pointers held in the payload. The restored blocks share the
+// snapshot's pages, so restoring copies nothing, and they start clean:
+// the restored heap's own first Serialize is already incremental. The
+// snapshot is only read, and may be restored any number of times.
+func Restore(snap *Snapshot) *Heap {
 	h := NewHeap(snap.VP)
 	h.brk = snap.Brk
 	n := len(snap.Blocks)
 	structs := make([]Block, n) // one allocation for all block headers
 	h.index = make([]*Block, 0, n)
-	h.clean = make(map[*Block]snapEntry, n)
 	for i := range snap.Blocks {
 		cp := &snap.Blocks[i]
 		nb := &structs[i]
 		*nb = Block{Addr: cp.Addr, Size: cp.Size, Label: cp.Label, Shared: cp.Shared, SharedBytes: cp.SharedBytes}
-		w, entry := words(i)
-		nb.Words = w
-		h.clean[nb] = entry // entry.gen is 0, matching the fresh block's gen
+		if cp.Data != nil {
+			nb.Data = cp.Data.Clone()
+		}
 		h.blocks[nb.Addr] = nb
 		h.index = append(h.index, nb) // snapshots are address-ordered
 		h.live += nb.Size
@@ -442,65 +416,3 @@ func rebuild(snap *Snapshot, words func(i int) ([]uint64, snapEntry)) *Heap {
 	}
 	return h
 }
-
-// Restore reconstructs a heap from a snapshot. Addresses are preserved
-// exactly; this is what makes Isomalloc migration transparent to any
-// pointers held in the payload. The snapshot is not consumed: payloads
-// are copied (through one pooled buffer), and the copies seed the new
-// heap's clean-block cache so its own first Serialize is already
-// incremental.
-func Restore(snap *Snapshot) *Heap {
-	var total int
-	for i := range snap.Blocks {
-		total += len(snap.Blocks[i].Words)
-	}
-	arena := make([]uint64, total)
-	return rebuild(snap, func(i int) ([]uint64, snapEntry) {
-		src := snap.Blocks[i].Words
-		if src == nil {
-			return nil, snapEntry{}
-		}
-		w := arena[:len(src):len(src)]
-		arena = arena[len(src):]
-		copy(w, src)
-		return w, snapEntry{words: src}
-	})
-}
-
-// RestoreConsume reconstructs a heap from a snapshot that the caller
-// owns exclusively and is discarding along with the source heap — the
-// migration case. Words arrays the snapshot itself copied (dirty
-// blocks) are adopted zero-copy as the live payload and cached as
-// aliased entries: a later Serialize re-copies them locally but, while
-// untouched, charges them no wire delta — so a rank migrated every
-// load-balance round still only moves its dirty bytes. Arrays shared
-// with earlier snapshots are copied so those keepers stay immutable.
-// The snapshot must not be restored again or kept as a checkpoint
-// afterwards.
-func RestoreConsume(snap *Snapshot) *Heap {
-	var shared int
-	for i := range snap.Blocks {
-		if !snap.isFresh(i) {
-			shared += len(snap.Blocks[i].Words)
-		}
-	}
-	arena := make([]uint64, shared)
-	return rebuild(snap, func(i int) ([]uint64, snapEntry) {
-		src := snap.Blocks[i].Words
-		if src == nil {
-			return nil, snapEntry{}
-		}
-		if snap.isFresh(i) {
-			// Adopted zero-copy: the live heap now owns the array, so the
-			// cache entry is marked aliased — never shared into a future
-			// snapshot, but delta-free while the generation holds.
-			return src, snapEntry{words: src, aliased: true}
-		}
-		w := arena[:len(src):len(src)]
-		arena = arena[len(src):]
-		copy(w, src)
-		return w, snapEntry{words: src}
-	})
-}
-
-func (s *Snapshot) isFresh(i int) bool { return s.fresh != nil && s.fresh[i] }

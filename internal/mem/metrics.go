@@ -15,13 +15,15 @@ type obsMetrics struct {
 	snapshots  *obs.Counter
 	fullBytes  *obs.Counter
 	deltaBytes *obs.Counter
-	// blocksReused counts clean blocks whose payload was shared
-	// copy-on-write with the previous snapshot; blocksCopied counts
-	// dirty (or cache-aliased) blocks that went through the arena.
+	// blocksCopied counts blocks that wrote at least one payload page
+	// since their previous snapshot — pages the snapshot freezes for the
+	// first time; blocksReused counts the rest, whose every page was
+	// already shared with an earlier snapshot (ballast included).
 	blocksReused *obs.Counter
 	blocksCopied *obs.Counter
-	// arenaBytes accumulates the bytes actually copied through the
-	// pooled snapshot arena.
+	// arenaBytes accumulates the bytes of those newly frozen pages: the
+	// copy-on-write page copies and first-touch pages that writes since
+	// the previous snapshot made, the host copy work snapshots cost.
 	arenaBytes *obs.Counter
 }
 
@@ -43,10 +45,10 @@ func EnableObs(r *obs.Registry) {
 		deltaBytes: r.Counter("mem_snapshot_delta_bytes_total",
 			"payload bytes that changed since each previous snapshot"),
 		blocksReused: r.Counter("mem_snapshot_blocks_reused_total",
-			"clean blocks shared copy-on-write with the previous snapshot"),
+			"blocks whose pages were all shared with an earlier snapshot"),
 		blocksCopied: r.Counter("mem_snapshot_blocks_copied_total",
-			"dirty blocks copied through the snapshot arena"),
+			"blocks with payload pages written since their previous snapshot"),
 		arenaBytes: r.Counter("mem_snapshot_arena_bytes_total",
-			"bytes copied through the snapshot arena"),
+			"bytes of payload pages written since their previous snapshot"),
 	}
 }

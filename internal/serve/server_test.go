@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -343,6 +345,58 @@ func TestGetRunReplaysCompletedSweep(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown run: %d, want 404", resp3.StatusCode)
+	}
+}
+
+// TestIdenticalPostLeavesManifestUntouched: re-POSTing a sweep whose
+// manifest the store already holds must not rewrite (and fsync) the
+// manifest file, and the run must still replay.
+func TestIdenticalPostLeavesManifestUntouched(t *testing.T) {
+	root := t.TempDir()
+	store, err := resultstore.Open(root, "test", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(store, "test", 1).Handler(nil))
+	t.Cleanup(ts.Close)
+	body := map[string]any{"points": []scenario.Spec{tinySpec(4)}}
+
+	resp, data := postRuns(t, ts.URL, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first POST: %d %s", resp.StatusCode, data)
+	}
+	hdr, _, _ := parseStream(t, data)
+	files, err := filepath.Glob(filepath.Join(root, "*", "run", "*", hdr.Run+".res"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("manifest files %v (err %v), want one", files, err)
+	}
+	before, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if resp, data = postRuns(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("second POST: %d %s", resp.StatusCode, data)
+	}
+	after, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !before.ModTime().Equal(after.ModTime()) {
+		t.Fatal("identical POST rewrote the stored run manifest")
+	}
+
+	get, err := http.Get(ts.URL + "/v1/runs/" + hdr.Run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := io.ReadAll(get.Body)
+	get.Body.Close()
+	if err != nil || get.StatusCode != http.StatusOK {
+		t.Fatalf("GET run: %d %v %s", get.StatusCode, err, replay)
+	}
+	if _, pts, tr := parseStream(t, replay); len(pts) != 1 || tr.Cached != 1 {
+		t.Fatalf("replay served %d points, trailer %+v", len(pts), tr)
 	}
 }
 
