@@ -63,8 +63,9 @@ cover:
 # machine/lb carry the membership-epoch and rebalance state those
 # supervisors mutate between attempts). mem, core and elf share
 # copy-on-write payload pages across heaps, snapshots and sweep workers.
+# ult hands control between the engine and rank coroutines.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/elf/...
+	$(GO) test -race ./internal/sim/... ./internal/harness/... ./internal/ampi/... ./internal/ft/... ./internal/machine/... ./internal/lb/... ./internal/mem/... ./internal/core/... ./internal/elf/... ./internal/ult/...
 
 # Full race sweep over every package, as CI's race job runs it.
 race-full:

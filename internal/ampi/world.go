@@ -316,6 +316,17 @@ func rankCtx(t *ult.Thread) *core.RankContext {
 // Run drives the simulation until every rank finishes. It returns the
 // first rank error or runtime error encountered.
 func (w *World) Run() error {
+	err := w.run()
+	// Ranks still parked when the run stops (node failure, drain,
+	// deadlock, runtime error) would otherwise each hold a goroutine,
+	// and through it the whole world, forever.
+	for _, r := range w.Ranks {
+		r.thread.Release()
+	}
+	return err
+}
+
+func (w *World) run() error {
 	err := w.Cluster.Engine.Run(func() bool {
 		if w.runtimeErr != nil {
 			return true

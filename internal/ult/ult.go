@@ -1,4 +1,10 @@
-// Package ult implements user-level threads over goroutines with strict
+//go:build go1.23
+
+// iter.Pull needs Go 1.23, but go.mod keeps `go 1.22` (its toolchain
+// line selects the newer compiler). The constraint raises this file's
+// language version so vet's stdversion check accepts the call.
+
+// Package ult implements user-level threads as coroutines with strict
 // cooperative handoff, bound to the discrete-event clock.
 //
 // Exactly one goroutine in the whole simulation runs at a time: either
@@ -9,10 +15,16 @@
 // context switches to the next ready thread, charging the privatization
 // method's switch cost. This mirrors AMPI's message-driven cooperative
 // scheduling of virtual ranks (§2.1) with ~100ns switches.
+//
+// Each thread is an iter.Pull coroutine: the scheduler resumes it with
+// next and it parks by calling yield. The runtime switches between the
+// two goroutines directly, bypassing the Go scheduler, so a handoff
+// allocates nothing.
 package ult
 
 import (
 	"fmt"
+	"iter"
 
 	"provirt/internal/machine"
 	"provirt/internal/sim"
@@ -59,11 +71,15 @@ type Thread struct {
 	sched *Scheduler
 	body  func(*Thread)
 
-	resume chan struct{}
-	parked chan struct{}
+	// next resumes the thread's coroutine until it parks or finishes,
+	// stop ends a parked one, and yield is the coroutine's side of the
+	// handoff. All three are nil until the thread first runs.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
-	started bool
-	killed  bool
+	killed   bool
+	released bool
 	// Err holds a panic recovered from the thread body.
 	Err error
 
@@ -78,9 +94,9 @@ type Thread struct {
 }
 
 // NewThread creates a thread that will run body when first scheduled.
-// The backing goroutine and its handoff channels are created lazily on
-// the first run, so a thread that never executes (an idle rank parked in
-// a collective for the whole run) costs one struct, not a goroutine.
+// The backing coroutine is created lazily on the first run, so a thread
+// that never executes (an idle rank parked in a collective for the
+// whole run) costs one struct, not a goroutine.
 func NewThread(id int, body func(*Thread)) *Thread {
 	return &Thread{ID: id, body: body}
 }
@@ -126,11 +142,9 @@ type killedPanic struct{}
 // park hands control back to the scheduler until resumed. The caller
 // must set the thread's state (Blocked or Ready) first.
 func (t *Thread) park() {
-	t.parked <- struct{}{}
-	<-t.resume
-	if t.killed {
-		// Unwind the body; the run wrapper recovers and parks the
-		// goroutine for good.
+	if !t.yield(struct{}{}) || t.killed {
+		// Killed or released: unwind the body; the coroutine's
+		// recover ends it.
 		panic(killedPanic{})
 	}
 	t.state = Running
@@ -151,7 +165,7 @@ func (t *Thread) Kill(reason string) {
 		panic(fmt.Sprintf("ult: kill of %v thread %d", t.state, t.ID))
 	}
 	t.killed = true
-	if !t.started {
+	if t.next == nil {
 		t.state = Done
 		t.Err = fmt.Errorf("ult: thread %d killed before first run: %s", t.ID, reason)
 		if t.sched != nil {
@@ -159,9 +173,27 @@ func (t *Thread) Kill(reason string) {
 		}
 		return
 	}
-	t.resume <- struct{}{}
-	<-t.parked
+	t.next()
 	t.Err = fmt.Errorf("ult: thread %d killed: %s", t.ID, reason)
+}
+
+// Release ends a parked thread's coroutine once its run is over, so the
+// goroutine behind it — and everything the body references — can be
+// collected. The body unwinds through its deferred calls, but State,
+// Err and the scheduler's done count stay as they were: a world that
+// stopped with ranks still suspended (node failure, drain, deadlock)
+// keeps reporting them as it found them. Releasing a finished or
+// never-started thread does nothing; releasing a Running thread panics.
+// A released thread must not be scheduled again.
+func (t *Thread) Release() {
+	if t.stop == nil {
+		return
+	}
+	if t.state == Running {
+		panic(fmt.Sprintf("ult: release of running thread %d", t.ID))
+	}
+	t.released = true
+	t.stop()
 }
 
 // Suspend parks the thread until another component calls Wake. The
@@ -196,32 +228,35 @@ func (t *Thread) Wake() {
 
 // run hands control to the thread until it parks or finishes.
 func (t *Thread) run() {
-	if !t.started {
-		t.started = true
-		// Lazy materialization: the goroutine and its handoff channels
-		// exist only once the thread actually executes.
-		t.resume = make(chan struct{})
-		t.parked = make(chan struct{})
-		go func() {
-			<-t.resume
-			defer func() {
-				if r := recover(); r != nil {
-					if _, wasKill := r.(killedPanic); !wasKill {
-						t.Err = fmt.Errorf("ult: thread %d panicked: %v", t.ID, r)
-					}
-				}
-				t.state = Done
-				if t.sched != nil {
-					t.sched.done++
-				}
-				t.parked <- struct{}{}
-			}()
-			t.state = Running
-			t.body(t)
-		}()
+	if t.next == nil {
+		// Lazy materialization: the coroutine exists only once the
+		// thread actually executes.
+		t.next, t.stop = iter.Pull(t.coroutine)
 	}
-	t.resume <- struct{}{}
-	<-t.parked
+	t.next()
+}
+
+// coroutine is the thread's iter.Seq: it runs the body and records how
+// it ended. It never yields a value; park calls yield to suspend.
+func (t *Thread) coroutine(yield func(struct{}) bool) {
+	t.yield = yield
+	defer func() {
+		r := recover()
+		if t.released {
+			return
+		}
+		if r != nil {
+			if _, wasKill := r.(killedPanic); !wasKill {
+				t.Err = fmt.Errorf("ult: thread %d panicked: %v", t.ID, r)
+			}
+		}
+		t.state = Done
+		if t.sched != nil {
+			t.sched.done++
+		}
+	}()
+	t.state = Running
+	t.body(t)
 }
 
 // Scheduler is the per-PE cooperative scheduler.
@@ -230,8 +265,12 @@ type Scheduler struct {
 	Engine *sim.Engine
 	Cost   *machine.CostModel
 
-	now   sim.Time
+	now sim.Time
+	// ready is a FIFO over one backing array: entries before head have
+	// been taken. It resets when it drains and compacts once head passes
+	// half its length, so a pass that never drains stays bounded.
 	ready []*Thread
+	head  int
 
 	passQueued bool
 	inPass     bool
@@ -369,7 +408,7 @@ func (s *Scheduler) AdoptBlocked(t *Thread) {
 // schedule queues a scheduler pass if one is needed and not already
 // pending.
 func (s *Scheduler) schedule() {
-	if s.passQueued || s.inPass || len(s.ready) == 0 {
+	if s.passQueued || s.inPass || s.RunnableCount() == 0 {
 		return
 	}
 	s.passQueued = true
@@ -394,9 +433,8 @@ func (s *Scheduler) pass() {
 		}
 		s.now = now
 	}
-	for len(s.ready) > 0 {
-		t := s.ready[0]
-		s.ready = s.ready[1:]
+	for s.RunnableCount() > 0 {
+		t := s.popReady()
 		if t.state != Ready {
 			continue
 		}
@@ -442,4 +480,18 @@ type Span struct {
 
 // RunnableCount reports how many threads are waiting in the ready
 // queue.
-func (s *Scheduler) RunnableCount() int { return len(s.ready) }
+func (s *Scheduler) RunnableCount() int { return len(s.ready) - s.head }
+
+// popReady takes the thread at the front of the ready queue.
+func (s *Scheduler) popReady() *Thread {
+	t := s.ready[s.head]
+	s.head++
+	switch {
+	case s.head == len(s.ready):
+		s.ready, s.head = s.ready[:0], 0
+	case 2*s.head >= len(s.ready):
+		n := copy(s.ready, s.ready[s.head:])
+		s.ready, s.head = s.ready[:n], 0
+	}
+	return t
+}
